@@ -105,8 +105,8 @@ fn plan_request(method: Method, perturbation: Perturbation) -> PlanRequest {
 /// Planner service: the same perturbed Figure 5a sweep (a straggler
 /// appeared — re-plan around it) planned cold (fresh planner: every
 /// candidate enumerated, lowered and solved from scratch) vs warm (from
-/// the clean run's recorded base: replayed pruning, cached lowerings and
-/// built solver workspaces, duration-only re-solves). The ratio is what
+/// the clean run's recorded base: replayed pruning and recorded
+/// topology-class bases, duration-only replays). The ratio is what
 /// warm-start re-planning saves on the identical request.
 fn bench_planner(c: &mut Criterion) {
     let probe = Perturbation::with_seed(0xB1F).with_straggler(4, 1.5);
@@ -266,7 +266,7 @@ fn bench_elastic(_c: &mut Criterion) {
 }
 
 /// Telemetry overhead guard: the identical Figure 5a sweep through
-/// `search_streaming`, once with `env.metrics = None` and once with a
+/// `search_observed`, once with `env.metrics = None` and once with a
 /// live registry. Instrumentation touches the registry once per request
 /// (request-end roll-up) and a handful of relaxed atomics per 32
 /// candidates, so the claim is <2% overhead on this workload; the
@@ -276,7 +276,7 @@ fn bench_elastic(_c: &mut Criterion) {
 /// against the `candidates_per_sec` baselines in `BENCH_search.json`
 /// when reading results from a quiet host.
 fn bench_telemetry_overhead(_c: &mut Criterion) {
-    use bfpp_exec::search::{search_streaming, SearchEnv};
+    use bfpp_exec::search::{search_observed, SearchEnv};
     use bfpp_exec::MetricsRegistry;
     use std::sync::Arc;
 
@@ -291,8 +291,9 @@ fn bench_telemetry_overhead(_c: &mut Criterion) {
         let t = Instant::now();
         for _ in 0..iters {
             for &m in Method::ALL.iter() {
-                let (_, report) =
-                    search_streaming(&model, &cluster, m, 48, &kernel, &opts, env, None, None);
+                let (_, report) = search_observed(
+                    &model, &cluster, m, 48, &kernel, &opts, env, None, None, None,
+                );
                 cands += report.enumerated;
             }
         }

@@ -302,8 +302,13 @@ pub fn enumerate(
                 .map(move |n_pp| (n_tp, n_pp, rest / n_pp))
         })
         .filter(move |&(_, _, n_dp)| batch_shards_evenly(global_batch, n_dp))
-        .flat_map(move |(n_tp, n_pp, n_dp)| {
-            let per_replica = (global_batch / n_dp as u64) as u32;
+        // A per-replica batch past `u32` is not a configuration: skip
+        // the split rather than truncate it into a different one.
+        .filter_map(move |(n_tp, n_pp, n_dp)| {
+            let per_replica = u32::try_from(global_batch / u64::from(n_dp)).ok()?;
+            Some((n_tp, n_pp, n_dp, per_replica))
+        })
+        .flat_map(move |(n_tp, n_pp, n_dp, per_replica)| {
             microbatch_sizes(per_replica, max_microbatch)
                 .into_iter()
                 .map(move |s_mb| (n_tp, n_pp, n_dp, s_mb, per_replica / s_mb))
@@ -455,6 +460,21 @@ mod tests {
                 ));
                 assert_eq!(c.config().global_batch_size(), 48);
             }
+        }
+    }
+
+    #[test]
+    fn per_replica_batches_past_u32_are_skipped_not_truncated() {
+        let model = models::bert_52b();
+        let cluster = presets::dgx1_v100(8);
+        // 2^32 + 8 on one replica used to truncate to a batch of 8. Every
+        // split that does fit u32 holds millions of micro-batches, far
+        // past the action budget, so nothing may be enumerated at all.
+        let batch = (1u64 << 32) + 8;
+        for method in Method::ALL {
+            let cands: Vec<Candidate> =
+                enumerate(&model, &cluster, method, batch, &opts()).collect();
+            assert!(cands.is_empty(), "{method}: {:?}", cands.first());
         }
     }
 

@@ -14,8 +14,10 @@
 //! 2. [`crate::prune`] rejects candidates whose closed-form memory lower
 //!    bound cannot fit, or whose Eq. (3)/(7) throughput upper bound
 //!    cannot beat the best result so far;
-//! 3. survivors are simulated on a scoped worker pool, sharing generated
-//!    schedules through a [`ScheduleCache`];
+//! 3. survivors are grouped by topology class (`crate::batch`): one
+//!    clean representative per class is lowered and solved, and every
+//!    other member is re-timed by SoA trace replay over the class's
+//!    prebuilt workspace, on a scoped worker pool;
 //! 4. results reduce serially in candidate order, so the winner (and
 //!    every [`SearchReport`] counter) is bit-identical to the exhaustive
 //!    serial reference ([`best_config_exhaustive`]) for any thread count.
@@ -42,11 +44,8 @@ use crate::batch::{ClassBase, ClassCache, ClassKey};
 use crate::candidates::{enumerate, Candidate};
 use crate::executor::{Executor, ScopedTask};
 use crate::kernel::KernelModel;
-use crate::lower::{compute_durations, lower_with_schedule, Durations, LoweredGraph};
-use crate::measure::{
-    measure_lowered, measure_with_durations, simulate_perturbed, simulate_with_schedule_perturbed,
-    Measurement,
-};
+use crate::lower::{compute_durations, lower_with_schedule, Durations};
+use crate::measure::{simulate_perturbed, Measurement};
 use crate::overlap::OverlapConfig;
 use crate::prune::{lower_bound_tflops, prune_reason, PruneReason};
 use crate::warm::{self, Outcome, SweepRecord, WarmCache};
@@ -129,24 +128,6 @@ impl std::fmt::Display for Method {
     }
 }
 
-/// How survivors reach the simulator. Both modes are bit-identical —
-/// same winners, same [`SearchReport`] headline counters for any thread
-/// count — they differ only in how the work is organized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Partition each chunk's survivors by topology class
-    /// (`crate::batch`), lower **one clean representative per class**,
-    /// and evaluate every other member from an SoA duration batch
-    /// replayed over the class's prebuilt solver workspace. Work-stealing
-    /// granularity is a batch of classes, not a candidate. The default.
-    #[default]
-    Batched,
-    /// The classic engine: every survivor is lowered and solved
-    /// individually. Kept as the bit-identity reference and for
-    /// workloads whose candidates rarely share a topology.
-    PerCandidate,
-}
-
 /// Limits on the configuration enumeration and evaluation.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
@@ -178,10 +159,6 @@ pub struct SearchOptions {
     /// deterministic: the same budget truncates at the same chunk
     /// boundary every run. `None` = unbounded.
     pub max_candidates: Option<u64>,
-    /// How survivors are evaluated ([`EvalMode::Batched`] by default).
-    /// Never part of a warm-start request signature: both modes produce
-    /// and consume the same records bit-identically.
-    pub eval: EvalMode,
 }
 
 impl SearchOptions {
@@ -208,7 +185,6 @@ impl Default for SearchOptions {
             perturbation: Perturbation::none(),
             deadline: None,
             max_candidates: None,
-            eval: EvalMode::default(),
         }
     }
 }
@@ -226,7 +202,7 @@ pub struct SearchEnv {
     /// Generated-schedule cache, shareable across concurrent requests
     /// (per-request traffic is attributed via [`CacheStats`]).
     pub schedules: Arc<ScheduleCache>,
-    /// Topology-class base cache for [`EvalMode::Batched`]. Bases are
+    /// Topology-class base cache for survivor evaluation. Bases are
     /// model/cluster/kernel-independent, so the process-wide
     /// [`ClassCache::global`] is the default even for private
     /// environments — a hit skips lowering and CSR construction but can
@@ -319,12 +295,13 @@ pub struct SearchReport {
     /// `robust_tflops / best`: the fraction of clean throughput the
     /// winner retains under the reference probe (lower = more fragile).
     pub retention: Option<f64>,
-    /// Cached clean lowerings reused from a warm-start record instead of
-    /// being rebuilt. Always `0` for a cold search or a [`SearchEnv`]
-    /// without a warm store. Not a CSV column (single-request CSV output
-    /// is byte-stable across engine versions), and — like `counters` —
-    /// excluded from the bit-stability guarantee across *concurrent*
-    /// requests racing to populate one record; within one request it is
+    /// Survivors evaluated over a topology-class base recorded in a
+    /// warm-start record instead of one resolved afresh. Always `0` for
+    /// a cold search or a [`SearchEnv`] without a warm store. Not a CSV
+    /// column (single-request CSV output is byte-stable across engine
+    /// versions), and — like `counters` — excluded from the
+    /// bit-stability guarantee across *concurrent* requests racing to
+    /// populate one record; within one request it is
     /// thread-count-invariant.
     pub warm_hits: u64,
     /// Whether the search was cancelled before visiting every candidate.
@@ -504,7 +481,7 @@ pub fn best_config_with_report(
     kernel: &KernelModel,
     opts: &SearchOptions,
 ) -> (Option<SearchResult>, SearchReport) {
-    search_streaming(
+    search_observed(
         model,
         cluster,
         method,
@@ -512,6 +489,7 @@ pub fn best_config_with_report(
         kernel,
         opts,
         &SearchEnv::private(),
+        None,
         None,
         None,
     )
@@ -530,15 +508,13 @@ enum Plan {
 #[derive(Default)]
 struct EvalSlot {
     measurement: Option<Measurement>,
-    /// The clean lowering, kept only when a recording run wants it.
-    lowering: Option<Arc<LoweredGraph>>,
-    /// Whether a warm record supplied the lowering.
+    /// Whether a warm record supplied the class base.
     warm_hit: bool,
 }
 
 /// The full service-grade engine: [`best_config_with_report`] plus an
-/// environment ([`SearchEnv`]), cooperative cancellation, and best-so-far
-/// streaming.
+/// environment ([`SearchEnv`]), cooperative cancellation, best-so-far
+/// streaming and live observation.
 ///
 /// * `cancel` is checked between chunks; once set, the search stops,
 ///   marks [`SearchReport::cancelled`] and returns its best-so-far
@@ -546,44 +522,17 @@ struct EvalSlot {
 /// * `on_improve` fires from the serial reduction — in candidate order,
 ///   on the calling thread — each time the incumbent is replaced. The
 ///   final call's result equals the returned winner.
+/// * `progress`, when given, receives the engine's counters and
+///   best-so-far at every chunk boundary and is marked finished on
+///   return, letting an observer thread (the daemon's heartbeat) report
+///   on an in-flight request without touching the search itself.
 /// * With a warm store in `env`, a completed cold search records its
-///   [per-candidate outcomes](crate::warm), and a later request with the
-///   same signature (perturbation and thread count excepted) replays
-///   them: no re-enumeration, no re-lowering for candidates whose clean
-///   base lowering was retained — only duration re-solves. Warm results
-///   are bit-identical to the cold engine's for the same request.
-#[allow(clippy::too_many_arguments)]
-pub fn search_streaming(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    method: Method,
-    global_batch: u64,
-    kernel: &KernelModel,
-    opts: &SearchOptions,
-    env: &SearchEnv,
-    cancel: Option<&AtomicBool>,
-    on_improve: Option<&mut (dyn FnMut(&SearchResult) + Send)>,
-) -> (Option<SearchResult>, SearchReport) {
-    search_observed(
-        model,
-        cluster,
-        method,
-        global_batch,
-        kernel,
-        opts,
-        env,
-        cancel,
-        on_improve,
-        None,
-    )
-}
-
-/// [`search_streaming`] plus live observation: when `progress` is
-/// given, the engine publishes its counters and best-so-far into it at
-/// every chunk boundary and marks it finished on return, letting an
-/// observer thread (the daemon's heartbeat) report on an in-flight
-/// request without touching the search itself. With `progress = None`
-/// this *is* `search_streaming`.
+///   [per-candidate outcomes](crate::warm) and the topology-class bases
+///   it resolved, and a later request with the same signature
+///   (perturbation and thread count excepted) replays them: no
+///   re-enumeration, no re-lowering for classes whose base was
+///   retained — only duration replays. Warm results are bit-identical
+///   to the cold engine's for the same request.
 #[allow(clippy::too_many_arguments)]
 pub fn search_observed(
     model: &TransformerConfig,
@@ -629,21 +578,12 @@ pub fn search_observed(
         ..SearchReport::default()
     };
 
-    // A cold search through a warm-capable env records outcomes (and,
-    // when unperturbed, the clean lowerings) for future warm starts.
-    let clean = opts.perturbation.is_identity();
+    // A cold search through a warm-capable env records outcomes for
+    // future warm starts.
     let mut recorder: Option<Vec<Outcome>> = match (&plan, &env.warm) {
         (Plan::Cold(_), Some(_)) => Some(Vec::with_capacity(total)),
         _ => None,
     };
-    // Lowerings retained for the future warm record, capped at the
-    // store's per-record op budget *as the reduction runs* — a large
-    // cold search must not hold every survivor's lowering in memory
-    // only for the record to reject most of them at insert time. A
-    // dropped lowering costs nothing but a rebuild-on-miss later.
-    let mut recorded_lowerings: Vec<(Candidate, Arc<LoweredGraph>)> = Vec::new();
-    let record_budget = env.warm.as_ref().map_or(0, |w| w.record_budget());
-    let mut recorded_ops: u64 = 0;
     if matches!(plan, Plan::Warm(_)) {
         counters.incr("warm_start");
     }
@@ -653,8 +593,7 @@ pub fn search_observed(
             .store(matches!(plan, Plan::Warm(_)), Ordering::Relaxed);
     }
 
-    let batched = opts.eval == EvalMode::Batched;
-    // Batched-mode request state: every class base this request resolved
+    // Request state: every class base this request resolved
     // (with its warm-record provenance, so `warm_hits` is thread-count
     // invariant — a key resolves exactly once per request), plus the
     // serial first-seen key order, which is the deterministic storage
@@ -746,83 +685,34 @@ pub fn search_observed(
         }
         report.simulated += survivors.len() as u64;
 
-        // Parallel evaluation: contiguous slices of the survivor list,
-        // one pool task per slice, results written into order-indexed
-        // slots (no locks, no reordering). Tasks are capped so each gets
-        // a few simulations — queueing a task for one candidate costs
-        // more than simulating it. This affects only scheduling, never
-        // results.
+        // Parallel evaluation, results written into order-indexed slots
+        // (no locks, no reordering). Tasks are capped so each gets a few
+        // simulations — queueing a task for one candidate costs more than
+        // simulating it. This affects only scheduling, never results.
         let threads = threads.min(survivors.len().div_ceil(4));
         let mut slots: Vec<EvalSlot> = (0..survivors.len()).map(|_| EvalSlot::default()).collect();
-        let perturbation = &opts.perturbation;
         let warm_rec: Option<&SweepRecord> = match &plan {
             Plan::Warm(rec) => Some(rec),
             Plan::Cold(_) => None,
         };
-        // Lowerings are worth keeping only when they are clean bases
-        // (and only the per-candidate engine records them — batched
-        // runs record whole class bases instead).
-        let keep_lowerings = recorder.is_some() && clean && !batched;
         counters.time("evaluate", || {
-            if batched {
-                evaluate_chunk_batched(
-                    model,
-                    cluster,
-                    cache,
-                    &stats,
-                    &survivors,
-                    &mut slots,
-                    overlap,
-                    kernel,
-                    perturbation,
-                    warm_rec,
-                    &env.classes,
-                    &resolved,
-                    &mut class_order,
-                    threads,
-                    &env.executor,
-                );
-            } else if threads <= 1 {
-                evaluate_slice(
-                    model,
-                    cluster,
-                    cache,
-                    &stats,
-                    &survivors,
-                    &mut slots,
-                    overlap,
-                    kernel,
-                    perturbation,
-                    warm_rec,
-                    keep_lowerings,
-                );
-            } else {
-                let per = survivors.len().div_ceil(threads).max(1);
-                let stats = &stats;
-                let tasks: Vec<ScopedTask<'_>> = survivors
-                    .chunks(per)
-                    .zip(slots.chunks_mut(per))
-                    .map(|(cands, out)| {
-                        let task: ScopedTask<'_> = Box::new(move || {
-                            evaluate_slice(
-                                model,
-                                cluster,
-                                cache,
-                                stats,
-                                cands,
-                                out,
-                                overlap,
-                                kernel,
-                                perturbation,
-                                warm_rec,
-                                keep_lowerings,
-                            );
-                        });
-                        task
-                    })
-                    .collect();
-                env.executor.scope_run(tasks);
-            }
+            evaluate_chunk_batched(
+                model,
+                cluster,
+                cache,
+                &stats,
+                &survivors,
+                &mut slots,
+                overlap,
+                kernel,
+                &opts.perturbation,
+                warm_rec,
+                &env.classes,
+                &resolved,
+                &mut class_order,
+                threads,
+                &env.executor,
+            );
         });
 
         // Serial in-order reduction: strictly-greater replaces, so the
@@ -831,13 +721,6 @@ pub fn search_observed(
         // in deterministic candidate order.
         for (cand, slot) in survivors.iter().zip(slots) {
             report.warm_hits += u64::from(slot.warm_hit);
-            if let Some(lowered) = slot.lowering {
-                let ops = lowered.graph.num_ops() as u64;
-                if recorded_ops + ops <= record_budget {
-                    recorded_ops += ops;
-                    recorded_lowerings.push((*cand, lowered));
-                }
-            }
             let Some(m) = slot.measurement else { continue };
             if !m.fits(cluster.min_memory_bytes()) {
                 continue;
@@ -871,11 +754,8 @@ pub fn search_observed(
     if !cancelled && !timed_out {
         if let (Some(outcomes), Some(w), Some(key)) = (recorder, &env.warm, warm_key) {
             let record = SweepRecord::new(outcomes, w.record_budget());
-            for (cand, lowered) in recorded_lowerings {
-                record.store_lowering(cand, lowered);
-            }
-            // Batched runs record topology-class bases (in the serial
-            // first-seen order, so storage under the shared op budget is
+            // The record keeps the topology-class bases (in the serial
+            // first-seen order, so storage under the op budget is
             // deterministic); a warm replay then re-times whole classes.
             // Bases are perturbation-independent — built from clean
             // representatives — so even a perturbed cold run records them.
@@ -897,92 +777,35 @@ pub fn search_observed(
     // reference straggler probe and report how much throughput survives.
     // Skipped when cancelled or timed out — the caller asked for the
     // fastest exit with best-so-far.
-    if let (Some(b), false) = (&best, cancelled || timed_out) {
+    if let (Some(b), Some(cand), false) = (&best, &best_cand, cancelled || timed_out) {
         counters.time("probe", || {
+            // The probe is a duration-only delta on the winner, answered
+            // from the winner's resolved class base — the same
+            // bit-identical substitution as evaluation itself, no
+            // re-lowering and no CSR rebuild.
             let probe = Perturbation::reference_probe();
-            // The probe is a duration-only delta on the winner, so a warm
-            // run answers it from the recorded clean base — the same
-            // bit-identical substitution as warm evaluation, skipping the
-            // perturbed re-lowering entirely.
-            // Batched mode answers the probe from the winner's resolved
-            // class base — the same bit-identical substitution as
-            // batched evaluation, no re-lowering and no CSR rebuild.
-            let class_probe = if batched {
-                best_cand.as_ref().and_then(|cand| {
-                    let d =
-                        compute_durations(model, cluster, &b.cfg, kernel, overlap.comm_multiplier);
-                    let class_key = ClassKey::of(cand, overlap, &d);
-                    let base = lock_resolved(&resolved)
-                        .get(&class_key)
-                        .map(|(base, _)| Arc::clone(base))?;
-                    let mut row = vec![SimDuration::ZERO; base.num_ops()];
-                    let mut factors = Vec::new();
-                    base.fill_row(&d, &probe, &mut factors, &mut row);
-                    let mut solve_stats = crate::batch::empty_stats();
-                    let mut scratch = base.lock_scratch();
-                    Some(base.measure_row(
-                        &mut scratch,
-                        &mut solve_stats,
-                        model,
-                        cluster,
-                        &b.cfg,
-                        &row,
-                    ))
-                })
-            } else {
-                None
-            };
-            let warm_base = match (&plan, &best_cand) {
-                (Plan::Warm(rec), Some(cand)) => {
-                    rec.lowering(cand).map(|lowered| (&**rec, cand, lowered))
-                }
-                _ => None,
-            };
-            let probed = if class_probe.is_some() {
-                class_probe
-            } else {
-                match warm_base {
-                    Some((rec, cand, lowered)) => {
-                        let mut durations = Vec::new();
-                        let (m, built) = measure_with_durations(
-                            model,
-                            cluster,
-                            &b.cfg,
-                            &lowered,
-                            &probe,
-                            &mut durations,
-                            rec.take_scratch(cand),
-                        );
-                        rec.put_scratch(cand, built);
-                        m
-                    }
-                    None => cache
-                        .get_or_generate_tracked(
-                            b.kind,
-                            b.cfg.placement,
-                            b.cfg.batch.num_microbatches,
-                            &stats,
-                        )
-                        .ok()
-                        .and_then(|schedule| {
-                            simulate_with_schedule_perturbed(
-                                model, cluster, &b.cfg, schedule, b.overlap, kernel, &probe,
-                            )
-                            .ok()
-                        }),
-                }
-            };
-            if let Some(m) = probed {
-                report.robust_tflops = Some(m.tflops_per_gpu);
-                report.retention = Some(m.tflops_per_gpu / b.measurement.tflops_per_gpu);
-            }
+            let d = compute_durations(model, cluster, &b.cfg, kernel, overlap.comm_multiplier);
+            let class_key = ClassKey::of(cand, overlap, &d);
+            let base = lock_resolved(&resolved)
+                .get(&class_key)
+                .map(|(base, _)| Arc::clone(base))
+                .expect("the winner was measured over its resolved class base");
+            let mut row = vec![SimDuration::ZERO; base.num_ops()];
+            let mut factors = Vec::new();
+            base.fill_row(&d, &probe, &mut factors, &mut row);
+            let mut solve_stats = crate::batch::empty_stats();
+            let mut scratch = base.lock_scratch();
+            let m = base.measure_row(&mut scratch, &mut solve_stats, model, cluster, &b.cfg, &row);
+            report.robust_tflops = Some(m.tflops_per_gpu);
+            report.retention = Some(m.tflops_per_gpu / b.measurement.tflops_per_gpu);
         });
     }
     // Per-request attribution: this request's own traffic on the
     // (possibly process-shared) schedule cache, not the cache's
     // since-process-start totals — so multi-request reports sum
-    // correctly. Warm lowering reuse skips the schedule cache entirely,
-    // so a warm request's totals can be below `simulated`.
+    // correctly. The cache is consulted at most once per topology class
+    // whose base is built afresh, so the totals are usually far below
+    // `simulated`.
     counters.add("cache_hits", stats.hits());
     counters.add("cache_misses", stats.misses());
     if report.warm_hits > 0 {
@@ -1044,100 +867,6 @@ pub fn search_observed(
     (best, report)
 }
 
-/// Evaluates one contiguous survivor slice into its order-indexed
-/// slots — the body of one pool task. Three paths, all producing
-/// bit-identical measurements for the same candidate and perturbation:
-/// the plain path (lower under the request's perturbation, solve), the
-/// recording path (lower clean, solve, keep the lowering), and the warm
-/// path (reuse a recorded clean lowering, re-solve durations only).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_slice(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cache: &ScheduleCache,
-    stats: &CacheStats,
-    cands: &[Candidate],
-    out: &mut [EvalSlot],
-    overlap: OverlapConfig,
-    kernel: &KernelModel,
-    perturbation: &Perturbation,
-    warm_rec: Option<&SweepRecord>,
-    keep_lowerings: bool,
-) {
-    let mut durations: Vec<SimDuration> = Vec::new();
-    for (cand, slot) in cands.iter().zip(out.iter_mut()) {
-        let cfg = cand.config_on(model, cluster);
-        if let Some(rec) = warm_rec {
-            let lowered = match rec.lowering(cand) {
-                Some(lowered) => {
-                    slot.warm_hit = true;
-                    lowered
-                }
-                None => {
-                    // Budget-evicted (or recorded by a perturbed cold
-                    // run): rebuild the clean base and re-offer it.
-                    let Ok(schedule) = cache.get_or_generate_tracked(
-                        cand.kind,
-                        cfg.placement,
-                        cfg.batch.num_microbatches,
-                        stats,
-                    ) else {
-                        continue;
-                    };
-                    let Ok(lowered) =
-                        lower_with_schedule(model, cluster, &cfg, schedule, overlap, kernel)
-                    else {
-                        continue;
-                    };
-                    let lowered = Arc::new(lowered);
-                    rec.store_lowering(*cand, Arc::clone(&lowered));
-                    lowered
-                }
-            };
-            let (measurement, built) = measure_with_durations(
-                model,
-                cluster,
-                &cfg,
-                &lowered,
-                perturbation,
-                &mut durations,
-                rec.take_scratch(cand),
-            );
-            slot.measurement = measurement;
-            rec.put_scratch(cand, built);
-        } else {
-            let Ok(schedule) = cache.get_or_generate_tracked(
-                cand.kind,
-                cfg.placement,
-                cfg.batch.num_microbatches,
-                stats,
-            ) else {
-                continue;
-            };
-            if keep_lowerings {
-                let Ok(lowered) =
-                    lower_with_schedule(model, cluster, &cfg, schedule, overlap, kernel)
-                else {
-                    continue;
-                };
-                slot.measurement = Some(measure_lowered(model, cluster, &cfg, &lowered));
-                slot.lowering = Some(Arc::new(lowered));
-            } else {
-                slot.measurement = simulate_with_schedule_perturbed(
-                    model,
-                    cluster,
-                    &cfg,
-                    schedule,
-                    overlap,
-                    kernel,
-                    perturbation,
-                )
-                .ok();
-            }
-        }
-    }
-}
-
 /// One batched survivor: its original chunk position plus the
 /// per-candidate inputs the class evaluator needs.
 struct BatchItem {
@@ -1160,11 +889,12 @@ fn lock_resolved<'a>(
 /// class in first-seen order; the groups are then split into at most
 /// `threads` contiguous pool tasks (work-stealing granularity = a batch
 /// of classes), each of which resolves its classes' bases and re-times
-/// members by SoA trace replay. Bit-identical to [`evaluate_slice`] per
-/// candidate: validation failures leave the same empty slots, a class
-/// whose schedule cannot generate (or whose topology deadlocks) fails
-/// exactly the candidates the per-candidate path would fail, and row
-/// fill + replay reproduce lower + solve to the bit.
+/// members by SoA trace replay. Bit-identical per candidate to lowering
+/// and solving it alone ([`simulate_perturbed`], the reference the
+/// equivalence tests hold it to): validation failures leave the slot
+/// empty, a class whose schedule cannot generate (or whose topology
+/// deadlocks) fails exactly the candidates a lone solve would fail, and
+/// row fill + replay reproduce lower + solve to the bit.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_chunk_batched(
     model: &TransformerConfig,
@@ -1189,8 +919,8 @@ fn evaluate_chunk_batched(
     for (cand_idx, cand) in survivors.iter().enumerate() {
         let cfg = cand.config_on(model, cluster);
         if cfg.validate(model, cluster).is_err() {
-            // Slot stays empty — the per-candidate path fails the same
-            // candidate inside lowering.
+            // Slot stays empty — a lone lowering fails the same
+            // candidate.
             continue;
         }
         let d = compute_durations(model, cluster, &cfg, kernel, overlap.comm_multiplier);
@@ -1299,8 +1029,8 @@ fn eval_groups(
         // Resolve the class base: request-local map (stable provenance)
         // → warm record → shared class cache → build from a clean
         // representative. A failed resolution fails the whole class,
-        // which is per-candidate parity: schedule generation and
-        // deadlock depend only on class-level inputs.
+        // which is lone-solve parity: schedule generation and deadlock
+        // depend only on class-level inputs.
         let hit = lock_resolved(resolved).get(key).cloned();
         let (base, from_record) = match hit {
             Some(found) => found,
@@ -1422,21 +1152,6 @@ pub fn best_config_exhaustive(
     best
 }
 
-/// Runs [`best_config`] over a set of batch sizes — one Figure 5 line.
-pub fn sweep(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    method: Method,
-    batches: &[u64],
-    kernel: &KernelModel,
-    opts: &SearchOptions,
-) -> Vec<(u64, Option<SearchResult>)> {
-    batches
-        .iter()
-        .map(|&b| (b, best_config(model, cluster, method, b, kernel, opts)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1525,12 +1240,14 @@ mod tests {
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
         let opts = quick_opts();
-        let rows = sweep(&model, &cluster, Method::BreadthFirst, &[16, 64], &k, &opts);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|(_, r)| r.is_some()));
+        let tflops = |b| {
+            best_config(&model, &cluster, Method::BreadthFirst, b, &k, &opts)
+                .expect("feasible")
+                .measurement
+                .tflops_per_gpu
+        };
         // Larger batch should not be slower for the same method.
-        let t16 = rows[0].1.as_ref().unwrap().measurement.tflops_per_gpu;
-        let t64 = rows[1].1.as_ref().unwrap().measurement.tflops_per_gpu;
+        let (t16, t64) = (tflops(16), tflops(64));
         assert!(
             t64 >= t16 * 0.95,
             "bf 16 -> 64 should not regress: {t16} {t64}"
@@ -1704,24 +1421,37 @@ mod tests {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
-        // The per-candidate path consults the schedule cache once per
-        // simulated candidate; the batched path consults it at most
-        // once per topology class (and not at all when the global class
-        // cache is already warm), so the strict traffic assertions only
-        // hold per-candidate.
-        let opts = SearchOptions {
-            eval: EvalMode::PerCandidate,
-            ..quick_opts()
+        // A private class cache: every class base is built here, and
+        // each build consults the schedule cache exactly once (a shared,
+        // already warm class cache would skip schedule generation).
+        let env = SearchEnv {
+            classes: Arc::new(ClassCache::new()),
+            ..SearchEnv::private()
         };
-        let (r, report) =
-            best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &k, &opts);
+        let (r, report) = search_observed(
+            &model,
+            &cluster,
+            Method::BreadthFirst,
+            16,
+            &k,
+            &quick_opts(),
+            &env,
+            None,
+            None,
+            None,
+        );
         assert!(r.is_some());
         let c = &report.counters;
-        assert!(
-            c.count("cache_hits") + c.count("cache_misses") >= report.simulated,
-            "every simulated candidate consults the schedule cache: {c:?}"
+        assert!(env.classes.misses() > 0, "a fresh class cache must build");
+        assert_eq!(
+            c.count("cache_hits") + c.count("cache_misses"),
+            env.classes.misses(),
+            "every class build consults the schedule cache once: {c:?}"
         );
-        assert!(c.count("cache_hits") > 0, "repeat keys must hit");
+        assert!(
+            c.count("cache_hits") > 0,
+            "classes differing only in sharding share a schedule"
+        );
         for phase in ["enumerate", "prune", "evaluate", "probe"] {
             assert!(
                 c.spans().any(|(name, _)| name == phase),
@@ -1814,7 +1544,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_replays_bit_identically_and_reuses_lowerings() {
+    fn warm_start_replays_bit_identically_and_reuses_class_bases() {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
@@ -1822,7 +1552,7 @@ mod tests {
         let opts = quick_opts();
 
         // Cold request populates the warm store.
-        let (cold_r, cold_rep) = search_streaming(
+        let (cold_r, cold_rep) = search_observed(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1830,6 +1560,7 @@ mod tests {
             &k,
             &opts,
             &env,
+            None,
             None,
             None,
         );
@@ -1845,7 +1576,7 @@ mod tests {
             perturbation: Perturbation::with_seed(7).with_straggler(3, 1.4),
             ..quick_opts()
         };
-        let (warm_r, warm_rep) = search_streaming(
+        let (warm_r, warm_rep) = search_observed(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1853,6 +1584,7 @@ mod tests {
             &k,
             &perturbed,
             &env,
+            None,
             None,
             None,
         );
@@ -1880,13 +1612,13 @@ mod tests {
         );
         assert!(
             warm_rep.warm_hits > 0,
-            "clean-run lowerings must be reused: {warm_rep:?}"
+            "recorded class bases must be reused: {warm_rep:?}"
         );
         assert_eq!(warm_rep.counters.count("warm_start"), 1);
         assert_eq!(env.warm.as_ref().unwrap().warm_starts(), 1);
 
         // Identity warm replay reproduces the cold run exactly too.
-        let (again_r, again_rep) = search_streaming(
+        let (again_r, again_rep) = search_observed(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1894,6 +1626,7 @@ mod tests {
             &k,
             &opts,
             &env,
+            None,
             None,
             None,
         );
@@ -1904,8 +1637,8 @@ mod tests {
 
     #[test]
     fn warm_records_are_keyed_by_kernel() {
-        // Recorded lowerings bake the kernel's durations in, and the
-        // recorded throughput bounds come from it — a request differing
+        // The recorded throughput bounds come from the kernel's
+        // durations — a request differing
         // only in kernel must cold-search, not warm-hit the other
         // kernel's record, and must match its own fresh cold engine.
         let model = models::bert_6_6b();
@@ -1914,7 +1647,7 @@ mod tests {
         let opts = quick_opts();
 
         let v100 = KernelModel::v100();
-        let (v100_r, _) = search_streaming(
+        let (v100_r, _) = search_observed(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1924,12 +1657,13 @@ mod tests {
             &env,
             None,
             None,
+            None,
         );
         assert!(v100_r.is_some());
         assert_eq!(env.warm.as_ref().unwrap().len(), 1);
 
         let a100 = KernelModel::a100();
-        let (a100_r, a100_rep) = search_streaming(
+        let (a100_r, a100_rep) = search_observed(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1937,6 +1671,7 @@ mod tests {
             &a100,
             &opts,
             &env,
+            None,
             None,
             None,
         );
@@ -1966,7 +1701,7 @@ mod tests {
         let env = SearchEnv::service();
         let opts = quick_opts();
         for m in [&model, &other_model] {
-            search_streaming(
+            search_observed(
                 m,
                 &cluster,
                 Method::BreadthFirst,
@@ -1974,6 +1709,7 @@ mod tests {
                 &k,
                 &opts,
                 &env,
+                None,
                 None,
                 None,
             );
@@ -1994,7 +1730,7 @@ mod tests {
         let k = KernelModel::v100();
         let opts = quick_opts();
         let cancel = AtomicBool::new(true); // cancelled before the first chunk
-        let (r, report) = search_streaming(
+        let (r, report) = search_observed(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -2003,6 +1739,7 @@ mod tests {
             &opts,
             &SearchEnv::private(),
             Some(&cancel),
+            None,
             None,
         );
         assert!(r.is_none(), "no chunk ran");
@@ -2013,7 +1750,7 @@ mod tests {
         // A cancelled cold run must not poison the warm store with a
         // partial record.
         let env = SearchEnv::service();
-        let (_, rep) = search_streaming(
+        let (_, rep) = search_observed(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -2022,6 +1759,7 @@ mod tests {
             &opts,
             &env,
             Some(&cancel),
+            None,
             None,
         );
         assert!(rep.cancelled);
@@ -2073,7 +1811,7 @@ mod tests {
 
         // A truncated cold run must not poison the warm store.
         let env = SearchEnv::service();
-        let (_, rep) = search_streaming(
+        let (_, rep) = search_observed(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -2081,6 +1819,7 @@ mod tests {
             &k,
             &opts,
             &env,
+            None,
             None,
             None,
         );
@@ -2116,7 +1855,7 @@ mod tests {
         let opts = quick_opts();
         let mut seen: Vec<f64> = Vec::new();
         let mut sink = |r: &SearchResult| seen.push(r.measurement.tflops_per_gpu);
-        let (r, _) = search_streaming(
+        let (r, _) = search_observed(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -2126,6 +1865,7 @@ mod tests {
             &SearchEnv::private(),
             None,
             Some(&mut sink),
+            None,
         );
         let r = r.expect("feasible");
         assert!(!seen.is_empty());

@@ -1,12 +1,14 @@
 //! Property test of the batched topology-class evaluator: for random
-//! methods, batch sizes, limits and perturbations, `EvalMode::Batched`
-//! (one CSR per shape class, SoA duration rows, trace replay) must be
-//! **bit-identical** to `EvalMode::PerCandidate` (lower + full solve per
-//! candidate) — same winner, same measurement to the bit, same prune
-//! counters — at every thread count.
+//! methods, batch sizes, limits and perturbations, the engine (one CSR
+//! per shape class, SoA duration rows, trace replay) must be
+//! **bit-identical** to the serial test reference (lower + full solve
+//! per candidate) — same winner, same measurement to the bit, same
+//! prune counters — at every thread count.
+
+mod common;
 
 use bfpp_cluster::presets::dgx1_v100;
-use bfpp_exec::search::{best_config_with_report, EvalMode, Method, SearchOptions};
+use bfpp_exec::search::{best_config_with_report, Method, SearchOptions};
 use bfpp_exec::KernelModel;
 use bfpp_model::presets::bert_6_6b;
 use bfpp_sim::Perturbation;
@@ -52,18 +54,11 @@ proptest! {
     /// Grouping candidates into topology classes and re-timing them by
     /// trace replay must never change the answer or the accounting.
     #[test]
-    fn batched_equals_per_candidate((method, batch, opts) in searches()) {
+    fn batched_equals_serial_reference((method, batch, opts) in searches()) {
         let model = bert_6_6b();
         let cluster = dgx1_v100(1);
         let kernel = KernelModel::v100();
-        let reference = best_config_with_report(
-            &model,
-            &cluster,
-            method,
-            batch,
-            &kernel,
-            &SearchOptions { eval: EvalMode::PerCandidate, threads: 1, ..opts.clone() },
-        );
+        let reference = common::serial_reference(&model, &cluster, method, batch, &kernel, &opts);
         for threads in [1usize, 2, 4] {
             let batched = best_config_with_report(
                 &model,
@@ -71,7 +66,7 @@ proptest! {
                 method,
                 batch,
                 &kernel,
-                &SearchOptions { eval: EvalMode::Batched, threads, ..opts.clone() },
+                &SearchOptions { threads, ..opts.clone() },
             );
             prop_assert_eq!(
                 &batched.0,
@@ -83,24 +78,8 @@ proptest! {
                 &opts
             );
             prop_assert_eq!(
-                (
-                    batched.1.enumerated,
-                    batched.1.pruned_memory,
-                    batched.1.pruned_throughput,
-                    batched.1.simulated,
-                    batched.1.best,
-                    batched.1.robust_tflops,
-                    batched.1.retention,
-                ),
-                (
-                    reference.1.enumerated,
-                    reference.1.pruned_memory,
-                    reference.1.pruned_throughput,
-                    reference.1.simulated,
-                    reference.1.best,
-                    reference.1.robust_tflops,
-                    reference.1.retention,
-                ),
+                common::deterministic(&batched.1),
+                common::deterministic(&reference.1),
                 "report: {} @ batch {} threads {}",
                 method,
                 batch,
@@ -118,18 +97,13 @@ fn fig5a_cell_winner_measurement_is_bit_identical() {
     let model = bert_6_6b();
     let cluster = dgx1_v100(8);
     let kernel = KernelModel::v100();
-    let mk = |eval: EvalMode, threads: usize| SearchOptions {
-        eval,
-        threads,
-        ..SearchOptions::default()
-    };
-    let (reference, _) = best_config_with_report(
+    let (reference, _) = common::serial_reference(
         &model,
         &cluster,
         Method::BreadthFirst,
         16,
         &kernel,
-        &mk(EvalMode::PerCandidate, 1),
+        &SearchOptions::default(),
     );
     let reference = reference.expect("Fig. 5a cell has a winner");
     for threads in [1usize, 2, 4] {
@@ -139,7 +113,10 @@ fn fig5a_cell_winner_measurement_is_bit_identical() {
             Method::BreadthFirst,
             16,
             &kernel,
-            &mk(EvalMode::Batched, threads),
+            &SearchOptions {
+                threads,
+                ..SearchOptions::default()
+            },
         );
         let batched = batched.expect("batched search finds the same winner");
         assert_eq!(batched.cfg, reference.cfg, "threads={threads}");

@@ -1,15 +1,16 @@
 //! Heterogeneous-fleet counterparts of the engine equivalence suites:
 //! on mixed V100+A100 fleets (flat and asymmetric fabrics) the layered
-//! engine must equal the exhaustive serial reference, `EvalMode::Batched`
-//! must equal `EvalMode::PerCandidate` bit-for-bit, and every answer must
-//! be bit-identical across worker thread counts — including under
-//! straggler/jitter perturbations composed on top of the hardware map.
+//! engine must equal the exhaustive serial reference, its batched
+//! evaluation must equal the serial test reference bit-for-bit, and
+//! every answer must be bit-identical across worker thread counts —
+//! including under straggler/jitter perturbations composed on top of the
+//! hardware map.
+
+mod common;
 
 use bfpp_cluster::presets::{dgx1_v100, mixed_v100_a100, mixed_v100_a100_asym};
 use bfpp_cluster::ClusterSpec;
-use bfpp_exec::search::{
-    best_config_exhaustive, best_config_with_report, EvalMode, Method, SearchOptions,
-};
+use bfpp_exec::search::{best_config_exhaustive, best_config_with_report, Method, SearchOptions};
 use bfpp_exec::KernelModel;
 use bfpp_model::presets::bert_6_6b;
 use bfpp_sim::Perturbation;
@@ -68,19 +69,12 @@ proptest! {
     /// change the answer or the accounting relative to lowering and
     /// fully solving every candidate — at every thread count.
     #[test]
-    fn batched_equals_per_candidate_on_mixed_fleets(
+    fn batched_equals_serial_reference_on_mixed_fleets(
         (cluster, method, batch, opts) in searches()
     ) {
         let model = bert_6_6b();
         let kernel = KernelModel::v100();
-        let reference = best_config_with_report(
-            &model,
-            &cluster,
-            method,
-            batch,
-            &kernel,
-            &SearchOptions { eval: EvalMode::PerCandidate, threads: 1, ..opts.clone() },
-        );
+        let reference = common::serial_reference(&model, &cluster, method, batch, &kernel, &opts);
         for threads in [1usize, 2, 4] {
             let batched = best_config_with_report(
                 &model,
@@ -88,7 +82,7 @@ proptest! {
                 method,
                 batch,
                 &kernel,
-                &SearchOptions { eval: EvalMode::Batched, threads, ..opts.clone() },
+                &SearchOptions { threads, ..opts.clone() },
             );
             prop_assert_eq!(
                 &batched.0,
@@ -101,24 +95,8 @@ proptest! {
                 &opts
             );
             prop_assert_eq!(
-                (
-                    batched.1.enumerated,
-                    batched.1.pruned_memory,
-                    batched.1.pruned_throughput,
-                    batched.1.simulated,
-                    batched.1.best,
-                    batched.1.robust_tflops,
-                    batched.1.retention,
-                ),
-                (
-                    reference.1.enumerated,
-                    reference.1.pruned_memory,
-                    reference.1.pruned_throughput,
-                    reference.1.simulated,
-                    reference.1.best,
-                    reference.1.robust_tflops,
-                    reference.1.retention,
-                ),
+                common::deterministic(&batched.1),
+                common::deterministic(&reference.1),
                 "report: {} on {} @ batch {} threads {}",
                 method,
                 cluster.name,

@@ -29,7 +29,10 @@
 //! * `method` — `breadth_first` (default), `depth_first`,
 //!   `non_looped`, `no_pipeline`.
 //! * `kernel` — `v100` (default), `a100`, `ideal`.
-//! * `eval` — `batched` (default) or `per_candidate` evaluation.
+//! * `nodes`, `batch`, `max_microbatch`, `max_loop` and the straggler
+//!   `device` must fit in `u32` (and `nodes × GPUs per node` too);
+//!   `nodes` must be positive. Anything else is answered with an
+//!   `error` line, never truncated.
 //! * `deadline_ms` / `max_candidates` — per-request budgets: the
 //!   search stops at the bound with its best-so-far and reports
 //!   `"timed_out":true`.

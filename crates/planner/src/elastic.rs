@@ -24,7 +24,8 @@
 //!   sub-millisecond path `reproduce_elastic` measures.
 //!
 //! The re-planned search itself is the ordinary engine: bit-identical
-//! across thread counts, batched ≡ per-candidate, warm replay proven
+//! across thread counts, batched ≡ serial test reference ≡ exhaustive,
+//! warm replay proven
 //! equal to cold recomputation. Elasticity adds no new evaluation
 //! semantics — only a disciplined story for which cached state survives
 //! a topology change.

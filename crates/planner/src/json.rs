@@ -9,10 +9,16 @@
 //! The grammar is full JSON (objects, arrays, strings with escapes,
 //! numbers, booleans, null); numbers are kept as `f64`, which is exact
 //! for every integer the request format uses (batch sizes, device
-//! ranks, thread counts — all far below 2^53).
+//! ranks, thread counts — all far below 2^53). Arrays and objects nest
+//! at most [`MAX_DEPTH`] deep: the parser recurses once per level, and
+//! an unbounded line of `[` must be an error, not a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest array/object nesting [`Value::parse`] accepts; request
+/// lines need three levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +44,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -110,6 +117,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -150,8 +159,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -159,6 +171,16 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -361,6 +383,20 @@ mod tests {
         }
         let e = Value::parse("[1, @]").unwrap_err();
         assert_eq!(e.at, 4);
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let deep = "[".repeat(1_000_000);
+        let e = Value::parse(&deep).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "points at the first bracket too deep");
+        assert!(e.msg.contains("nesting"), "{e}");
+        let mixed = "{\"a\":".repeat(MAX_DEPTH) + "[";
+        let e = Value::parse(&mixed).unwrap_err();
+        assert_eq!(e.at, mixed.len() - 1);
+        // Exactly at the cap still parses.
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Value::parse(&ok).is_ok());
     }
 
     #[test]

@@ -120,8 +120,8 @@ use std::time::{Duration, Instant};
 
 use bfpp_cluster::ClusterSpec;
 use bfpp_exec::search::{
-    search_observed, search_streaming, Method, ProgressSnapshot, SearchEnv, SearchOptions,
-    SearchProgress, SearchReport, SearchResult,
+    search_observed, Method, ProgressSnapshot, SearchEnv, SearchOptions, SearchProgress,
+    SearchReport, SearchResult,
 };
 use bfpp_exec::{Executor, KernelModel, MetricsRegistry, MetricsSnapshot, WarmCache};
 use bfpp_model::TransformerConfig;
@@ -594,7 +594,7 @@ impl Planner {
         self.metrics
             .counter_incr("planner_requests_submitted_total");
         let t0 = Instant::now();
-        let out = search_streaming(
+        let out = search_observed(
             &req.model,
             &req.cluster,
             req.method,
@@ -602,6 +602,7 @@ impl Planner {
             &req.kernel,
             &req.opts,
             &self.env,
+            None,
             None,
             None,
         );
@@ -985,15 +986,19 @@ mod tests {
 
     #[test]
     fn panicked_session_becomes_a_failed_event_and_quarantines() {
-        let planner = Arc::new(Planner::with_threads(2));
-        let mut req = quick_req(Method::BreadthFirst, 16);
-        // Seed both caches so the quarantine has something to drop.
-        // Per-candidate evaluation populates the schedule cache even
-        // when the process-global class cache is already warm (batched
-        // evaluation would skip schedule generation entirely then).
-        req.opts.eval = bfpp_exec::search::EvalMode::PerCandidate;
+        // A private class cache: with the process-global one already
+        // warm from other tests, class bases would resolve without ever
+        // generating a schedule, leaving the schedule cache empty.
+        let planner = Arc::new(Planner::over(SearchEnv {
+            executor: Executor::new(2),
+            classes: Arc::new(bfpp_exec::ClassCache::new()),
+            ..SearchEnv::service()
+        }));
+        let req = quick_req(Method::BreadthFirst, 16);
+        // Seed all three caches so the quarantine has something to drop.
         planner.plan(&req);
         assert!(!planner.env().schedules.is_empty());
+        assert!(!planner.env().classes.is_empty());
         assert_eq!(planner.warm().unwrap().len(), 1);
 
         let mut sabotaged = req.clone();
@@ -1008,6 +1013,7 @@ mod tests {
         let life = planner.lifecycle();
         assert_eq!(life.count("requests_failed"), 1);
         assert!(life.count("quarantined_schedules") > 0, "{life:?}");
+        assert!(life.count("quarantined_classes") > 0, "{life:?}");
         assert!(life.count("quarantined_warm_records") > 0, "{life:?}");
         assert_eq!(planner.warm().unwrap().len(), 0, "warm record quarantined");
 

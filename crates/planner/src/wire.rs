@@ -38,9 +38,7 @@
 use std::time::Duration;
 
 use bfpp_cluster::{presets as clusters, ClusterSpec, NodeId, NodeSpec};
-use bfpp_exec::search::{
-    EvalMode, Method, ProgressSnapshot, SearchOptions, SearchReport, SearchResult,
-};
+use bfpp_exec::search::{Method, ProgressSnapshot, SearchOptions, SearchReport, SearchResult};
 use bfpp_exec::{KernelModel, MetricsSnapshot};
 use bfpp_sim::Perturbation;
 
@@ -140,14 +138,25 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
     let model = bfpp_model::presets::by_name(model_name)
         .ok_or_else(|| format!("unknown model {model_name:?}"))?;
 
-    let nodes_u64 = v.get("nodes").and_then(Value::as_u64).unwrap_or(8);
-    let nodes = u32::try_from(nodes_u64).map_err(|_| "field \"nodes\" too large".to_string())?;
+    let nodes = u32_field(v, "nodes")?.unwrap_or(8);
+    if nodes == 0 {
+        return Err("field \"nodes\" must be positive".to_string());
+    }
     let cluster = cluster_by_name(
         v.get("cluster")
             .and_then(Value::as_str)
             .unwrap_or("dgx1_v100"),
         nodes,
     )?;
+    // Device ranks are `u32`: a fleet whose GPU count overflows one
+    // would silently wrap to a different, smaller cluster.
+    if cluster
+        .num_nodes
+        .checked_mul(cluster.node.gpus_per_node)
+        .is_none()
+    {
+        return Err("field \"nodes\" too large".to_string());
+    }
 
     let method = match v
         .get("method")
@@ -168,20 +177,19 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
         other => return Err(format!("unknown kernel model {other:?}")),
     };
 
-    let global_batch = v
-        .get("batch")
-        .and_then(Value::as_u64)
-        .ok_or("missing integer field \"batch\"")?;
+    // Per-replica batch sizes are `u32`; bounding the global batch the
+    // same way keeps every data-parallel split representable.
+    let global_batch = u64::from(u32_field(v, "batch")?.ok_or("missing integer field \"batch\"")?);
 
     let mut opts = SearchOptions::default();
     if let Some(t) = v.get("threads").and_then(Value::as_u64) {
         opts.threads = t as usize;
     }
-    if let Some(m) = v.get("max_microbatch").and_then(Value::as_u64) {
-        opts.max_microbatch = m as u32;
+    if let Some(m) = u32_field(v, "max_microbatch")? {
+        opts.max_microbatch = m;
     }
-    if let Some(l) = v.get("max_loop").and_then(Value::as_u64) {
-        opts.max_loop = l as u32;
+    if let Some(l) = u32_field(v, "max_loop")? {
+        opts.max_loop = l;
     }
     if let Some(a) = v.get("max_actions").and_then(Value::as_u64) {
         opts.max_actions = a;
@@ -191,13 +199,6 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
     }
     if let Some(c) = v.get("max_candidates").and_then(Value::as_u64) {
         opts.max_candidates = Some(c);
-    }
-    if let Some(e) = v.get("eval").and_then(Value::as_str) {
-        opts.eval = match e {
-            "batched" => EvalMode::Batched,
-            "per_candidate" | "per-candidate" => EvalMode::PerCandidate,
-            other => return Err(format!("unknown eval mode {other:?}")),
-        };
     }
     opts.perturbation = perturbation_of(v)?;
     Ok(PlanRequest {
@@ -210,6 +211,16 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
         objective: Default::default(),
         fault: None,
     })
+}
+
+/// The integer field `key` as a `u32`: absent (or not a non-negative
+/// integer) is `None`, and a value past `u32::MAX` is an error rather
+/// than a silent truncation.
+fn u32_field(v: &Value, key: &str) -> Result<Option<u32>, String> {
+    v.get(key)
+        .and_then(Value::as_u64)
+        .map(|n| u32::try_from(n).map_err(|_| format!("field {key:?} too large")))
+        .transpose()
 }
 
 fn cluster_by_name(name: &str, nodes: u32) -> Result<ClusterSpec, String> {
@@ -270,15 +281,12 @@ fn perturbation_of(v: &Value) -> Result<Perturbation, String> {
     let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(0);
     let mut p = Perturbation::with_seed(seed);
     if let Some(s) = v.get("straggler") {
-        let device = s
-            .get("device")
-            .and_then(Value::as_u64)
-            .ok_or("straggler needs integer \"device\"")?;
+        let device = u32_field(s, "device")?.ok_or("straggler needs integer \"device\"")?;
         let factor = s
             .get("factor")
             .and_then(Value::as_f64)
             .ok_or("straggler needs number \"factor\"")?;
-        p = p.with_straggler(device as u32, factor);
+        p = p.with_straggler(device, factor);
     }
     if let Some(j) = v.get("jitter").and_then(Value::as_f64) {
         p = p.with_jitter(j);
@@ -645,6 +653,70 @@ mod tests {
         assert_eq!(err.at, None);
         assert!(err.msg.contains("unknown model"), "{}", err.msg);
         assert!(!error_line(&err).contains("\"at\":"));
+    }
+
+    /// The error message for `line`, which must be rejected as an
+    /// invalid field (not a syntax error).
+    fn field_error(line: &str) -> String {
+        let err = parse_line(line, "line-1").unwrap_err();
+        assert_eq!(err.at, None, "{}", err.msg);
+        assert!(error_line(&err).contains("\"event\":\"error\""));
+        err.msg
+    }
+
+    #[test]
+    fn zero_nodes_is_an_error_not_a_panic() {
+        let msg = field_error(r#"{"model":"bert-52b","nodes":0,"batch":8}"#);
+        assert!(msg.contains("\"nodes\" must be positive"), "{msg}");
+    }
+
+    #[test]
+    fn a_gpu_count_past_u32_is_an_error_not_a_wrap() {
+        // 536870913 × 8 GPUs wraps a u32 to 8 — the `nodes:1` fleet.
+        let msg = field_error(
+            r#"{"model":"bert-52b","cluster":"dgx1_v100","nodes":536870913,"batch":8}"#,
+        );
+        assert!(msg.contains("\"nodes\" too large"), "{msg}");
+        let r = parse_line(
+            r#"{"model":"bert-52b","cluster":"dgx1_v100","nodes":536870911,"batch":8}"#,
+            "line-1",
+        );
+        assert!(r.is_ok(), "the largest fleet that fits still parses");
+    }
+
+    #[test]
+    fn search_limits_past_u32_are_errors_not_truncations() {
+        // 4294967300 would truncate to 4.
+        for field in ["max_microbatch", "max_loop"] {
+            let line = format!(r#"{{"model":"bert-52b","batch":8,"{field}":4294967300}}"#);
+            let msg = field_error(&line);
+            assert!(msg.contains(&format!("{field:?} too large")), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_straggler_device_past_u32_is_an_error_not_a_wrap() {
+        // 4294967296 would wrap to device 0.
+        let msg = field_error(
+            r#"{"model":"bert-52b","batch":8,"straggler":{"device":4294967296,"factor":1.5}}"#,
+        );
+        assert!(msg.contains("\"device\" too large"), "{msg}");
+    }
+
+    #[test]
+    fn a_batch_past_u32_is_an_error_not_a_truncation() {
+        // 4294967304 per replica would truncate to 8.
+        let msg = field_error(r#"{"model":"bert-52b","batch":4294967304}"#);
+        assert!(msg.contains("\"batch\" too large"), "{msg}");
+    }
+
+    #[test]
+    fn the_eval_field_is_ignored_like_any_unknown_key() {
+        let r = parse_line(
+            r#"{"model":"bert-6.6b","batch":16,"eval":"serial"}"#,
+            "line-1",
+        );
+        assert!(matches!(r, Ok(Request::Plan { .. })));
     }
 
     #[test]
